@@ -10,24 +10,65 @@ Two capabilities are required of each distribution:
 
 - :meth:`IndexDistribution.sample` — draw element indices (for the
   simulated benchmark), and
-- :meth:`IndexDistribution.cdf` — the continuous CDF over ``[0, n]``
+- :meth:`IndexDistribution.cdf01` — the CDF over unit-buffer positions
   (for the analytic EHR model of Eqs. 2–4, evaluated per cache line).
 
 Sampling is rejection-based truncation to ``[0, n)``, and the CDF is the
 matching truncated CDF, so model and benchmark see exactly the same
 ``f`` — the property the paper's validation depends on.
+
+The CDFs are array-valued. ``cdf01`` and ``truncated_cdf`` take a float
+or a float64 array and return the same shape: a Python float for a
+scalar, an array otherwise. :meth:`IndexDistribution.line_pmf` is one
+call over all line bounds of a buffer. The arithmetic is numpy array
+arithmetic, but every transcendental (``erf``, ``exp``, ``log``, float
+``**``) stays a per-element call of the same libm function through
+Python's ``math`` module and ``float.__pow__``. numpy's own ``np.exp``
+and ``** 2`` are not bit-identical to libm (``np.exp`` uses its own
+SIMD code on AVX-512 hosts; ``x ** 2`` becomes ``x * x``), and the line
+pmf, hence every Eq. 4 result in ``results/``, must not move by an ulp.
+A per-element libm call costs about 50 ns, so a 50 k-line pmf takes a
+few milliseconds and nothing is memoised.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Union
 
 import numpy as np
 
 from ..errors import ModelError
+
+#: What the CDFs accept and return: a float, or a float64 array.
+FloatOrArray = Union[float, np.ndarray]
+
+
+def _array_valued(cdf):
+    """Lift ``cdf(self, u)``, written over a 1-D float64 array, to the
+    module's contract: a float in gives a Python float out, and an
+    array of any shape gives an array of that shape."""
+
+    @functools.wraps(cdf)
+    def lifted(self, u: FloatOrArray) -> FloatOrArray:
+        x = np.asarray(u, dtype=np.float64)
+        out = cdf(self, x.reshape(-1)).reshape(x.shape)
+        return float(out) if x.ndim == 0 else out
+
+    return lifted
+
+
+def _per_element(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element as a Python float: the same libm
+    call, hence the same bits, as the scalar formula."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
+
+
+def _clamp01(u: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(u, 0.0), 1.0)
 
 
 class IndexDistribution(ABC):
@@ -43,9 +84,10 @@ class IndexDistribution(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def cdf01(self, u: float) -> float:
+    def cdf01(self, u: FloatOrArray) -> FloatOrArray:
         """*Untruncated* CDF of the underlying distribution at ``u``
-        (u in unit-buffer coordinates; may have mass outside [0,1))."""
+        (u in unit-buffer coordinates; may have mass outside [0,1)).
+        Array-valued: see the module docstring."""
 
     @abstractmethod
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -53,14 +95,15 @@ class IndexDistribution(ABC):
 
     # -- derived ---------------------------------------------------------------
 
-    def truncated_cdf(self, u: float) -> float:
-        """CDF renormalised to the [0,1) support actually addressable."""
+    @_array_valued
+    def truncated_cdf(self, u: np.ndarray) -> np.ndarray:
+        """CDF renormalised to the [0,1) support actually addressable.
+        Array-valued like :meth:`cdf01`."""
         lo, hi = self.cdf01(0.0), self.cdf01(1.0)
         z = hi - lo
         if z <= 0:
             raise ModelError(f"{self.name}: no mass on the buffer support")
-        u = min(max(u, 0.0), 1.0)
-        return (self.cdf01(u) - lo) / z
+        return (self.cdf01(_clamp01(u)) - lo) / z
 
     def sample(self, rng: np.random.Generator, size: int, n: int) -> np.ndarray:
         """Draw ``size`` integer indices in ``[0, n)``."""
@@ -103,7 +146,8 @@ class IndexDistribution(ABC):
         buffer: the per-line mass function the EHR model (Eq. 4) sums.
 
         Line ``L`` covers elements ``[L*e, (L+1)*e)``; its mass is the
-        truncated CDF difference across that span.
+        truncated CDF difference across that span. One
+        :meth:`truncated_cdf` call evaluates every line bound.
         """
         if n_elems <= 0 or elems_per_line <= 0:
             raise ModelError("line_pmf needs positive sizes")
@@ -111,8 +155,7 @@ class IndexDistribution(ABC):
         bounds = np.minimum(
             np.arange(n_lines + 1, dtype=np.float64) * elems_per_line, n_elems
         )
-        cdf_vals = np.array([self.truncated_cdf(b / n_elems) for b in bounds])
-        pmf = np.diff(cdf_vals)
+        pmf = np.diff(self.truncated_cdf(bounds / n_elems))
         # Numerical guard: renormalise tiny drift.
         total = pmf.sum()
         if not 0.99 < total < 1.01:
@@ -124,8 +167,7 @@ class IndexDistribution(ABC):
         the truncated distribution (Table II's 'Standard Deviation'
         column, divided by n). Computed numerically on a fine grid."""
         grid = np.linspace(0.0, 1.0, 4097)
-        cdf = np.array([self.truncated_cdf(u) for u in grid])
-        pmf = np.diff(cdf)
+        pmf = np.diff(self.truncated_cdf(grid))
         mids = (grid[:-1] + grid[1:]) / 2
         mean = float((pmf * mids).sum())
         var = float((pmf * (mids - mean) ** 2).sum())
@@ -146,9 +188,10 @@ class NormalDist(IndexDistribution):
             raise ModelError("Normal k must be positive")
         object.__setattr__(self, "name", f"Norm_{self.k:g}")
 
-    def cdf01(self, u: float) -> float:
+    @_array_valued
+    def cdf01(self, u: np.ndarray) -> np.ndarray:
         z = (u - 0.5) * self.k
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+        return 0.5 * (1.0 + _per_element(math.erf, z / math.sqrt(2.0)))
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(0.5, 1.0 / self.k, size)
@@ -165,10 +208,12 @@ class ExponentialDist(IndexDistribution):
             raise ModelError("Exponential k must be positive")
         object.__setattr__(self, "name", f"Exp_{self.k:g}")
 
-    def cdf01(self, u: float) -> float:
-        if u <= 0:
-            return 0.0
-        return 1.0 - math.exp(-self.k * u)
+    @_array_valued
+    def cdf01(self, u: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(u)
+        pos = u > 0
+        out[pos] = 1.0 - _per_element(math.exp, -self.k * u[pos])
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.k, size)
@@ -187,15 +232,16 @@ class TriangularDist(IndexDistribution):
         label = f"Tri_{self.index}" if self.index else f"Tri_b{self.mode_frac:g}"
         object.__setattr__(self, "name", label)
 
-    def cdf01(self, u: float) -> float:
+    @_array_valued
+    def cdf01(self, u: np.ndarray) -> np.ndarray:
         b = self.mode_frac
-        if u <= 0:
-            return 0.0
-        if u >= 1:
-            return 1.0
-        if u < b:
-            return u * u / b
-        return 1.0 - (1.0 - u) ** 2 / (1.0 - b)
+        out = np.where(u >= 1, 1.0, 0.0)
+        inside = (u > 0) & (u < 1)
+        head, tail = inside & (u < b), inside & (u >= b)
+        out[head] = u[head] * u[head] / b
+        squares = _per_element(lambda v: v ** 2, 1.0 - u[tail])
+        out[tail] = 1.0 - squares / (1.0 - b)
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.triangular(0.0, self.mode_frac, 1.0, size)
@@ -208,8 +254,9 @@ class UniformDist(IndexDistribution):
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", "Uni")
 
-    def cdf01(self, u: float) -> float:
-        return min(max(u, 0.0), 1.0)
+    @_array_valued
+    def cdf01(self, u: np.ndarray) -> np.ndarray:
+        return _clamp01(u)
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
@@ -264,21 +311,28 @@ class ZipfDist(IndexDistribution):
         if self.alpha < 0 or self.q <= 0:
             raise ModelError("Zipf needs alpha >= 0 and q > 0")
         object.__setattr__(self, "name", f"Zipf_{self.alpha:g}")
+        # Truncation bounds for inverse-CDF sampling, fixed per instance.
+        object.__setattr__(self, "_bounds", (self.cdf01(0.0), self.cdf01(1.0)))
 
-    def cdf01(self, u: float) -> float:
+    @_array_valued
+    def cdf01(self, u: np.ndarray) -> np.ndarray:
         # Integral of (x+q)^-alpha from 0 to u (unnormalised; truncation
         # renormalises).
         a, q = self.alpha, self.q
-        if u <= 0:
-            return 0.0
+        out = np.zeros_like(u)
+        pos = u > 0
+        v = u[pos] + q
         if abs(a - 1.0) < 1e-9:
-            return math.log((u + q) / q)
-        return ((u + q) ** (1 - a) - q ** (1 - a)) / (1 - a)
+            out[pos] = _per_element(math.log, v / q)
+        else:
+            powers = _per_element(lambda x: x ** (1 - a), v)
+            out[pos] = (powers - q ** (1 - a)) / (1 - a)
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse-CDF sampling of the truncated distribution.
         a, q = self.alpha, self.q
-        lo, hi = self.cdf01(0.0), self.cdf01(1.0)
+        lo, hi = self._bounds
         y = lo + rng.random(size) * (hi - lo)
         if abs(a - 1.0) < 1e-9:
             return q * np.exp(y) - q

@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 
 from ..engine.chunk import AccessChunk
 from ..engine.thread import SimThread, ThreadContext
+from ..errors import ModelError
 from .distributions import IndexDistribution
 
 #: The paper's benchmark buffers hold C ``int``s.
@@ -77,15 +78,21 @@ class ProbabilisticBenchmark(SimThread):
         # countdown; the scheduler pins one path per run).
         self._fb_remaining = self.n_accesses
 
+    def _started_buffer(self, caller: str):
+        # A real check, not an assert: ``python -O`` strips asserts.
+        if self.buffer is None:
+            raise ModelError(f"start() must run before {caller}")
+        return self.buffer
+
     @property
     def elems_per_line(self) -> int:
-        assert self.buffer is not None
-        return (1 << self.buffer.line_shift) // INT_BYTES
+        buffer = self._started_buffer("elems_per_line")
+        return (1 << buffer.line_shift) // INT_BYTES
 
     def line_pmf(self):
         """Per-line access probabilities for the EHR model (Eq. 4)."""
-        assert self.buffer is not None, "start() must run before line_pmf()"
-        return self.distribution.line_pmf(self.buffer.n_elems, self.elems_per_line)
+        buffer = self._started_buffer("line_pmf()")
+        return self.distribution.line_pmf(buffer.n_elems, self.elems_per_line)
 
     def chunks(self) -> Iterator[AccessChunk]:
         assert self._ctx is not None and self.buffer is not None

@@ -10,7 +10,13 @@ from repro.workloads import (
     NormalDist,
     TriangularDist,
     UniformDist,
+    ZipfDist,
     table_ii_distributions,
+)
+from tests.workloads.cdf_oracle import (
+    oracle_cdf01,
+    oracle_line_pmf,
+    oracle_truncated_cdf,
 )
 
 ALL = list(table_ii_distributions().values())
@@ -154,3 +160,75 @@ class TestZipf:
             ZipfDist(alpha=-1)
         with pytest.raises(ModelError):
             ZipfDist(q=0.0)
+
+
+# -- bit-exactness oracle --------------------------------------------------
+# The array-valued CDFs must reproduce the scalar formulas of
+# ``cdf_oracle`` bit for bit, on real probe shapes and generated ones.
+
+ORACLE_DISTS = ALL + [ZipfDist(1.0), ZipfDist(0.8)]
+
+#: Element counts of the smoke probe buffers (30/50/74 MB at the Xeon
+#: preset's scale, 4-byte ints, 16 per 64-byte line).
+SMOKE_SHAPES = [(491_520, 16), (819_200, 16), (1_212_416, 16)]
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    diff = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert diff.size == 0, f"{diff.size} entries differ, first at {diff[:5]}"
+
+
+@pytest.mark.parametrize("shape", SMOKE_SHAPES, ids=lambda s: str(s[0]))
+@pytest.mark.parametrize("dist", ORACLE_DISTS, ids=lambda d: d.name)
+def test_line_pmf_bitwise_equals_scalar_oracle(dist, shape):
+    assert_bitwise_equal(dist.line_pmf(*shape), oracle_line_pmf(dist, *shape))
+
+
+@given(
+    n_elems=st.integers(min_value=1, max_value=20_000),
+    elems_per_line=st.sampled_from([1, 3, 8, 16, 17, 32]),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_line_pmf_bitwise_equals_oracle(n_elems, elems_per_line):
+    if n_elems % elems_per_line == 0 and elems_per_line > 1:
+        n_elems += 1  # keep a partial last line in every draw
+    for dist in ORACLE_DISTS:
+        assert_bitwise_equal(
+            dist.line_pmf(n_elems, elems_per_line),
+            oracle_line_pmf(dist, n_elems, elems_per_line),
+        )
+
+
+@pytest.mark.parametrize("dist", ORACLE_DISTS, ids=lambda d: d.name)
+def test_scalar_calls_return_oracle_floats(dist):
+    for u in (-0.5, 0.0, 1e-7, 0.25, 0.4, 0.5, 0.6, 0.999, 1.0, 1.5):
+        got, want = dist.cdf01(u), oracle_cdf01(dist, u)
+        assert type(got) is float and got == want
+        got, want = dist.truncated_cdf(u), oracle_truncated_cdf(dist, u)
+        assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("dist", ORACLE_DISTS, ids=lambda d: d.name)
+def test_cdf_keeps_the_input_shape(dist):
+    u = np.linspace(-0.2, 1.2, 12).reshape(3, 4)
+    out = dist.cdf01(u)
+    assert out.shape == (3, 4)
+    want = [oracle_cdf01(dist, float(x)) for x in u.ravel()]
+    assert_bitwise_equal(out.ravel(), np.array(want))
+    assert dist.truncated_cdf(u).shape == (3, 4)
+
+
+def test_zipf_sampling_stream_unchanged():
+    """Inverse-CDF draws with the bounds fixed at construction equal the
+    draws with the bounds recomputed per call."""
+    for dist in (ZipfDist(1.0), ZipfDist(0.8)):
+        a, q = dist.alpha, dist.q
+        lo, hi = oracle_cdf01(dist, 0.0), oracle_cdf01(dist, 1.0)
+        y = lo + np.random.default_rng(3).random(1000) * (hi - lo)
+        if abs(a - 1.0) < 1e-9:
+            want = q * np.exp(y) - q
+        else:
+            want = (y * (1 - a) + q ** (1 - a)) ** (1.0 / (1 - a)) - q
+        got = dist._raw_sample(np.random.default_rng(3), 1000)
+        assert_bitwise_equal(got, want)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import SocketSimulator, ThreadContext
+from repro.errors import ModelError
 from repro.mem import AddressSpace
 from repro.models import EHRModel
 from repro.units import KiB, MiB
@@ -32,8 +33,10 @@ class TestStructure:
 
     def test_line_pmf_requires_start(self, xeon):
         b = ProbabilisticBenchmark(UniformDist(), 32 * MiB)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ModelError, match=r"start\(\) must run before line_pmf"):
             b.line_pmf()
+        with pytest.raises(ModelError, match="before elems_per_line"):
+            b.elems_per_line
 
     def test_finite_access_budget(self, tiny):
         b = ProbabilisticBenchmark(UniformDist(), 32 * KiB, n_accesses=700)
