@@ -25,6 +25,7 @@ jitter) lives here.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -34,13 +35,26 @@ from ..cluster.job import CommEnv
 from ..cluster.mapping import Distance
 from ..engine.chunk import AccessChunk
 from ..engine.thread import SimThread, ThreadContext
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..mem.addrspace import Buffer
 from ..workloads.distributions import IndexDistribution
 
 #: Staging buffers rotated for off-socket traffic (defeats L3 reuse of
 #: large messages across iterations, like real rendezvous buffers).
 REMOTE_STAGING_POOL = 4
+
+#: Prefetcher stream ids of the off- and on-socket staging sweeps.
+REMOTE_STAGING_ID = 0x7E50
+LOCAL_STAGING_ID = 0x10CA
+
+
+def stream_id_of(label: str) -> int:
+    """Prefetcher stream id of a buffer's sweeps. ``hash(str)`` is
+    randomised per process (``PYTHONHASHSEED``), so two labels could
+    share a stream-table entry in one process and not in another; a
+    CRC is the same everywhere. The built-in apps' labels map to ids
+    distinct from each other, from 0 and from the staging ids."""
+    return zlib.crc32(label.encode()) & 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -75,6 +89,50 @@ class RandomPhase:
 
 
 Phase = object  # StreamPhase | RandomPhase (kept loose for 3.10)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """``total`` sequential accesses to lines ``base + pos % n``: a
+    stream phase, a staging sweep or the pure-wire touch. The first
+    chunk carries ``extra_ns``."""
+
+    base: int
+    n: int
+    total: int
+    is_write: bool
+    ops: int
+    stream_id: int
+    extra_ns: float = 0.0
+    prefetchable = True
+
+    def lines(self, rng, pos: int, count: int, size: int) -> np.ndarray:
+        """Lines of ``count`` chunks of ``size`` accesses from ``pos``."""
+        return self.base + (pos + np.arange(count * size, dtype=np.int64)) % self.n
+
+
+@dataclass(frozen=True)
+class _Draws:
+    """``total`` randomly indexed accesses over ``buf`` (a random phase)."""
+
+    buf: Buffer
+    total: int
+    is_write: bool
+    ops: int
+    distribution: Optional[IndexDistribution]
+    stream_id = 0
+    extra_ns = 0.0
+    prefetchable = False
+
+    def lines(self, rng, pos: int, count: int, size: int) -> np.ndarray:
+        """Lines of the next ``count`` chunks of ``size`` draws (one
+        batched draw, RNG-identical to ``count`` per-chunk draws)."""
+        n = self.buf.n_elems
+        if self.distribution is None:
+            idx = rng.integers(0, n, size=count * size)
+        else:
+            idx = self.distribution.sample_block(rng, count, size, n)
+        return self.buf.lines_of_indices(idx)
 
 
 class RankApp(SimThread):
@@ -158,62 +216,122 @@ class RankApp(SimThread):
                     ctx.addrspace.alloc(size, elem_bytes=8, label=f"{self.name}.staging.{i}")
                     for i in range(REMOTE_STAGING_POOL)
                 ]
+        # fill_block cursor (chunks() keeps its own generator-local
+        # copy; the scheduler pins one path per run).
+        self._fb_program = self._program()
+        self._fb_seg = None
+        self._fb_pos = 0
 
     def chunks(self) -> Iterator[AccessChunk]:
-        assert self._ctx is not None, "start() must run first"
+        """Reference expansion of :meth:`_program`: one chunk per
+        generator resume (the scheduler's fallback when
+        ``supports_fill_block`` is hidden, and the equivalence suites'
+        reference for :meth:`fill_block`)."""
+        rng = self._started("chunks()").rng
+        q = self.quantum
+        for seg in self._program():
+            if isinstance(seg, _Run):
+                for pos in range(0, seg.total, q):
+                    take = min(q, seg.total - pos)
+                    yield AccessChunk(
+                        lines=[seg.base + (pos + i) % seg.n for i in range(take)],
+                        is_write=seg.is_write,
+                        ops_per_access=seg.ops,
+                        stream_id=seg.stream_id,
+                        extra_ns=seg.extra_ns if pos == 0 else 0.0,
+                    )
+                continue
+            n = seg.buf.n_elems
+            for done in range(0, seg.total, q):
+                take = min(q, seg.total - done)
+                if seg.distribution is None:
+                    idx = rng.integers(0, n, size=take)
+                else:
+                    idx = seg.distribution.sample(rng, take, n)
+                chunk = AccessChunk.from_indices(
+                    seg.buf, idx, is_write=seg.is_write, ops_per_access=seg.ops
+                )
+                chunk.prefetchable = False
+                yield chunk
+
+    supports_fill_block = True
+
+    def fill_block(self, writer) -> None:
+        """Stage the next block of :meth:`_program`, resuming at the
+        (segment, position) cursor the previous call left.
+
+        Full chunks of a run or a draw go through one
+        :meth:`~repro.engine.blockq.QueueWriter.push_uniform` (for a
+        draw, one ``rng.integers`` or
+        :meth:`IndexDistribution.sample_block` call, both
+        RNG-stream-identical to per-chunk draws); a
+        segment's short last chunk and a run's first chunk when it
+        carries wire time go through ``push``. One call stages at most
+        ``max(1, free_lines // quantum)`` chunks.
+        """
+        rng = self._started("fill_block()").rng
+        q = self.quantum
+        budget = max(1, writer.free_lines // q)
+        while budget > 0 and writer.free_chunks > 0:
+            seg = self._fb_seg
+            if seg is None:
+                seg = self._fb_seg = next(self._fb_program, None)
+                self._fb_pos = 0
+                if seg is None:
+                    return
+            pos = self._fb_pos
+            take = min(q, seg.total - pos)
+            if take <= 0:
+                self._fb_seg = None
+                continue
+            meta = dict(
+                is_write=seg.is_write,
+                ops_per_access=seg.ops,
+                stream_id=seg.stream_id,
+                prefetchable=seg.prefetchable,
+            )
+            if take < q or (pos == 0 and seg.extra_ns):
+                k = 1
+                writer.push(
+                    seg.lines(rng, pos, 1, take),
+                    extra_ns=seg.extra_ns if pos == 0 else 0.0,
+                    **meta,
+                )
+            else:
+                k = min(budget, writer.free_chunks, (seg.total - pos) // q)
+                writer.push_uniform(seg.lines(rng, pos, k, q), q, **meta)
+            budget -= k
+            self._fb_pos = pos + k * take
+            if self._fb_pos >= seg.total:
+                self._fb_seg = None
+
+    # -- program -----------------------------------------------------------------
+
+    def _program(self) -> Iterator[object]:
+        """The rank's accesses as :class:`_Run` and :class:`_Draws`
+        segments, in program order. Lazy: an iteration's comm jitter is
+        drawn from the thread's RNG only when the consumer is done with
+        that iteration's compute draws, which is where both expansions
+        ask for the next segment."""
         for it in range(self.n_iterations):
-            yield from self._compute_chunks()
-            yield from self._comm_chunks(it)
+            for phase in self.iteration_phases():
+                if isinstance(phase, StreamPhase):
+                    buf = self._buffer(phase.buffer)
+                    yield _Run(
+                        buf.base_line, buf.n_lines, int(buf.n_lines * phase.passes),
+                        phase.is_write, phase.ops_per_access,
+                        stream_id_of(phase.buffer),
+                    )
+                elif isinstance(phase, RandomPhase):
+                    yield _Draws(
+                        self._buffer(phase.buffer), phase.n_accesses,
+                        phase.is_write, phase.ops_per_access, phase.distribution,
+                    )
+                else:
+                    raise ConfigError(f"unknown phase type {type(phase).__name__}")
+            yield from self._comm_runs(it)
 
-    # -- phase execution -----------------------------------------------------------
-
-    def _compute_chunks(self) -> Iterator[AccessChunk]:
-        rng = self._ctx.rng
-        for phase in self.iteration_phases():
-            if isinstance(phase, StreamPhase):
-                yield from self._stream_chunks(phase)
-            elif isinstance(phase, RandomPhase):
-                yield from self._random_chunks(phase, rng)
-            else:
-                raise ConfigError(f"unknown phase type {type(phase).__name__}")
-
-    def _stream_chunks(self, phase: StreamPhase) -> Iterator[AccessChunk]:
-        buf = self._buffer(phase.buffer)
-        total_lines = int(buf.n_lines * phase.passes)
-        base = buf.base_line
-        n = buf.n_lines
-        stream_id = hash(phase.buffer) & 0xFFFF
-        pos = 0
-        while total_lines > 0:
-            take = min(self.quantum, total_lines)
-            lines = [base + ((pos + i) % n) for i in range(take)]
-            pos = (pos + take) % n
-            total_lines -= take
-            yield AccessChunk(
-                lines=lines,
-                is_write=phase.is_write,
-                ops_per_access=phase.ops_per_access,
-                stream_id=stream_id,
-            )
-
-    def _random_chunks(self, phase: RandomPhase, rng: np.random.Generator) -> Iterator[AccessChunk]:
-        buf = self._buffer(phase.buffer)
-        remaining = phase.n_accesses
-        n = buf.n_elems
-        while remaining > 0:
-            take = min(self.quantum, remaining)
-            if phase.distribution is None:
-                idx = rng.integers(0, n, size=take)
-            else:
-                idx = phase.distribution.sample(rng, take, n)
-            remaining -= take
-            chunk = AccessChunk.from_indices(
-                buf, idx, is_write=phase.is_write, ops_per_access=phase.ops_per_access
-            )
-            chunk.prefetchable = False
-            yield chunk
-
-    def _comm_chunks(self, iteration: int) -> Iterator[AccessChunk]:
+    def _comm_runs(self, iteration: int) -> Iterator[_Run]:
         comm = self.comm_bytes_by_distance()
         if not comm or self.comm_env is None:
             return
@@ -221,49 +339,33 @@ class RankApp(SimThread):
         wire_ns = env.comm_model.exchange_ns(comm)
         jitter = float(env.noise.sample_factor(self._ctx.rng))
         extra = wire_ns * jitter
-        emitted = False
         # Pack/unpack traffic: off-socket bytes stream through a rotating
         # pool (DRAM traffic); on-socket bytes hit one resident buffer.
+        # The wire time rides on the first staging chunk.
+        staging = []
         if self._remote_staging:
-            staging = self._remote_staging[iteration % len(self._remote_staging)]
-            yield from self._staging_chunks(staging, extra_first=extra, stream_id=0x7E50)
-            emitted = True
+            pool = self._remote_staging
+            staging.append((pool[iteration % len(pool)], REMOTE_STAGING_ID))
         if self._local_staging is not None:
-            yield from self._staging_chunks(
-                self._local_staging,
-                extra_first=0.0 if emitted else extra,
-                stream_id=0x10CA,
+            staging.append((self._local_staging, LOCAL_STAGING_ID))
+        for i, (buf, sid) in enumerate(staging):
+            yield _Run(
+                buf.base_line, buf.n_lines, buf.n_lines, True, 2, sid,
+                extra if i == 0 else 0.0,
             )
-            emitted = True
-        if not emitted and extra > 0:
+        if not staging and extra > 0:
             # Pure-wire communication (no modelled memory traffic): charge
             # the time against a single touch of the first buffer.
             any_buf = next(iter(self.buffers.values()))
-            yield AccessChunk(
-                lines=[any_buf.base_line], is_write=False, ops_per_access=1,
-                extra_ns=extra,
-            )
-
-    def _staging_chunks(
-        self, staging: Buffer, extra_first: float, stream_id: int
-    ) -> Iterator[AccessChunk]:
-        base = staging.base_line
-        n = staging.n_lines
-        pos = 0
-        first = True
-        while pos < n:
-            take = min(self.quantum, n - pos)
-            yield AccessChunk(
-                lines=list(range(base + pos, base + pos + take)),
-                is_write=True,
-                ops_per_access=2,
-                stream_id=stream_id,
-                extra_ns=extra_first if first else 0.0,
-            )
-            first = False
-            pos += take
+            yield _Run(any_buf.base_line, 1, 1, False, 1, 0, extra)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _started(self, caller: str) -> ThreadContext:
+        # A real check, not an assert: ``python -O`` strips asserts.
+        if self._ctx is None:
+            raise SimulationError(f"{self.name}: start() must run before {caller}")
+        return self._ctx
 
     def _buffer(self, label: str) -> Buffer:
         try:

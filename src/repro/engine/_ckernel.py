@@ -32,7 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from typing import Optional
+from typing import List, Optional
 
 i64 = ctypes.c_longlong
 
@@ -602,12 +602,30 @@ def _cache_dir() -> str:
 
 
 def _find_cc() -> Optional[str]:
+    """Resolved path of the first C compiler found (``$CC`` first)."""
     import shutil
 
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+        path = cand and shutil.which(cand)
+        if path:
+            return path
     return None
+
+
+def _compile_cmd(cc: str, src: str, out: str) -> List[str]:
+    # -ffp-contract=off: no FMA contraction, so every double
+    # expression evaluates exactly like the CPython reference.
+    return [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", src, "-o", out]
+
+
+def _tag(cc: str) -> str:
+    """Cache key of the built library: the source, the compiler and the
+    full compile command, so a library built by one compiler or flag
+    set is never loaded for another."""
+    h = hashlib.sha256(C_SOURCE.encode())
+    for part in _compile_cmd(cc, "<src>", "<out>"):
+        h.update(b"\0" + part.encode())
+    return h.hexdigest()[:16]
 
 
 def _build(cc: str, cache: str, tag: str) -> Optional[str]:
@@ -620,11 +638,9 @@ def _build(cc: str, cache: str, tag: str) -> Optional[str]:
         with os.fdopen(fd, "w") as f:
             f.write(C_SOURCE)
         tmp = lib + f".tmp{os.getpid()}"
-        # -ffp-contract=off: no FMA contraction, so every double
-        # expression evaluates exactly like the CPython reference.
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", src, "-o", tmp]
         res = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120, check=False
+            _compile_cmd(cc, src, tmp),
+            capture_output=True, text=True, timeout=120, check=False,
         )
         if res.returncode != 0:
             return None
@@ -644,7 +660,7 @@ _TRIED = False
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """Compile (once, cached by source hash) and load the C kernel.
+    """Compile (once, cached by :func:`_tag`) and load the C kernel.
 
     Returns ``None`` when disabled (``REPRO_NO_CKERNEL=1``), when no C
     compiler is on PATH, or when the build fails for any reason — the
@@ -659,7 +675,7 @@ def load() -> Optional[ctypes.CDLL]:
     cc = _find_cc()
     if cc is None:
         return None
-    tag = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
+    tag = _tag(cc)
     lib_path = _build(cc, _cache_dir(), tag)
     if lib_path is None:
         # Retry in a temp dir (e.g. read-only home).

@@ -81,8 +81,11 @@ class SimThread(ABC):
         same metadata), because the scheduler-equivalence suite holds
         the two paths bit-identical. Staging zero chunks means the
         workload is finished (the generator-path equivalent of
-        ``StopIteration``). Implementations set
-        :attr:`supports_fill_block` to True.
+        ``StopIteration``). One call should generate at most about
+        ``writer.free_lines`` lines (at least one chunk), so the memory
+        a call touches stays bounded however long the workload's
+        phases are. Implementations set :attr:`supports_fill_block` to
+        True.
         """
         raise NotImplementedError
 

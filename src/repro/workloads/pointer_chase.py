@@ -19,6 +19,7 @@ import numpy as np
 
 from ..engine.chunk import AccessChunk
 from ..engine.thread import SimThread, ThreadContext
+from ..errors import SimulationError
 
 PTR_BYTES = 8
 
@@ -54,11 +55,10 @@ class PointerChase(SimThread):
         self.quantum = quantum
         self.name = name
         self.buffer = None
-        self._order: Optional[np.ndarray] = None
-        self._ctx: Optional[ThreadContext] = None
+        #: The chain's visit order as line addresses, set by start().
+        self._lines: Optional[np.ndarray] = None
 
     def start(self, ctx: ThreadContext) -> None:
-        self._ctx = ctx
         nbytes = (
             ctx.scaled_bytes(self.buffer_bytes)
             if self.scale_with_machine
@@ -72,13 +72,20 @@ class PointerChase(SimThread):
         # sequence is an identical address stream to chasing the cycle).
         order = np.arange(self.buffer.n_lines, dtype=np.int64)
         ctx.rng.shuffle(order)
-        self._order = order
+        self._lines = order + self.buffer.base_line
+        # fill_block chain position (chunks() keeps its own
+        # generator-local copy; the scheduler pins one path per run).
+        self._fb_pos = 0
+        self._fb_remaining = self.n_accesses
+
+    def _chain(self, caller: str) -> np.ndarray:
+        # A real check, not an assert: ``python -O`` strips asserts.
+        if self._lines is None:
+            raise SimulationError(f"{self.name}: start() must run before {caller}")
+        return self._lines
 
     def chunks(self) -> Iterator[AccessChunk]:
-        assert self._ctx is not None and self.buffer is not None
-        assert self._order is not None
-        base = self.buffer.base_line
-        lines_all = self._order + base  # int64 ndarray, handed to chunks as-is
+        lines_all = self._chain("chunks()")  # int64 ndarray, handed to chunks as-is
         n = len(lines_all)
         q = self.quantum
         remaining = self.n_accesses
@@ -98,6 +105,35 @@ class PointerChase(SimThread):
             )
             if remaining is not None:
                 remaining -= size
+
+    supports_fill_block = True
+
+    def fill_block(self, writer) -> None:
+        """Stage ``k`` whole chunks with one wrapped ``take`` over
+        ``k * quantum`` chain positions; a finite ``n_accesses`` ends
+        with one partial chunk."""
+        lines_all = self._chain("fill_block()")
+        q = self.quantum
+        k = min(writer.free_chunks, max(1, writer.free_lines // q))
+        remaining = self._fb_remaining
+        tail = 0
+        if remaining is not None:
+            k = min(k, remaining // q)
+            if remaining - k * q < q and writer.free_chunks > k:
+                tail = remaining - k * q
+            self._fb_remaining = remaining - k * q - tail
+        size = k * q
+        pos = self._fb_pos
+        staged = lines_all.take(np.arange(pos, pos + size + tail), mode="wrap")
+        self._fb_pos = (pos + size + tail) % len(lines_all)
+        meta = dict(
+            is_write=False, ops_per_access=HOP_OPS, serialize=True,
+            prefetchable=False,
+        )
+        if k:
+            writer.push_uniform(staged[:size], q, **meta)
+        if tail:
+            writer.push(staged[size:], **meta)
 
     def describe(self) -> str:
         return f"{self.name}: dependent chain over {self.buffer_bytes} sim-bytes"

@@ -1,15 +1,34 @@
 """RankApp phase framework."""
 
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.apps import BufferSpec, CommEnv, RandomPhase, RankApp, StreamPhase
-from repro.cluster import CommModel, Distance, NoiseModel
-from repro.config import NetworkConfig, tiny_socket
+from repro.apps import (
+    BufferSpec,
+    CommEnv,
+    LuleshProxy,
+    MCBProxy,
+    RandomPhase,
+    RankApp,
+    SpMVProxy,
+    StreamPhase,
+)
+from repro.apps.base import LOCAL_STAGING_ID, REMOTE_STAGING_ID, stream_id_of
+from repro.cluster import CommModel, Distance, NoiseModel, ProcessMapping
+from repro.config import NetworkConfig, tiny_socket, xeon20mb_cluster
 from repro.engine import ThreadContext
-from repro.errors import ConfigError
+from repro.engine import scheduler as scheduler_mod
+from repro.engine.blockq import BlockQueues, QueueWriter
+from repro.errors import ConfigError, SimulationError
 from repro.mem import AddressSpace
 from repro.units import KiB
+from repro.workloads import PointerChase
+from repro.workloads.distributions import ExponentialDist
 
 
 class TwoPhaseApp(RankApp):
@@ -139,10 +158,10 @@ class TestCommunication:
         app = TwoPhaseApp(comm=comm_env(), remote_bytes=16 * KiB, n_iterations=2)
         app.start(ctx_for())
         assert len(app._remote_staging) > 1
-        chunks = list(app.chunks())
-        staged = [c for c in chunks if c.stream_id == 0x7E50]
-        bufs = {min(c.lines) // 1000 for c in staged}  # coarse grouping
-        assert len(staged) >= 2
+        staged = [c for c in app.chunks() if c.stream_id == REMOTE_STAGING_ID]
+        first_lines = {b.base_line for b in app._remote_staging[:2]}
+        # Each iteration sweeps the next pool buffer from its first line.
+        assert {int(c.lines[0]) for c in staged if c.extra_ns > 0} == first_lines
 
     def test_local_comm_uses_single_resident_buffer(self):
         app = TwoPhaseApp(comm=comm_env(), local_bytes=8 * KiB)
@@ -162,3 +181,217 @@ class TestCommunication:
         app = WireOnly(comm=comm_env())
         app.start(ctx_for())
         assert sum(c.extra_ns for c in app.chunks()) > 0
+
+
+# ---------------------------------------------------------------------------
+# fill_block == chunks(), field by field
+# ---------------------------------------------------------------------------
+
+
+def generator_stream(thread, max_chunks=None):
+    """The chunks of ``thread.chunks()`` as tuples of all their fields."""
+    return [
+        (c.lines.tolist(), bool(c.is_write), int(c.ops_per_access),
+         int(c.stream_id), bool(c.serialize), float(c.extra_ns).hex(),
+         bool(c.prefetchable))
+        for c in itertools.islice(thread.chunks(), max_chunks)
+    ]
+
+
+def block_stream(thread, max_chunks=None):
+    """The same tuples from repeated ``fill_block`` calls into one
+    scheduler-sized block (``scheduler.BLOCK_CHUNKS`` chunks)."""
+    q = BlockQueues(1, chunk_cap=scheduler_mod.BLOCK_CHUNKS)
+    w = QueueWriter(q, 0)
+    out = []
+    while max_chunks is None or len(out) < max_chunks:
+        w.begin()
+        thread.fill_block(w)
+        if q.count[0] == 0:
+            break
+        for c in range(int(q.count[0])):
+            off, n = int(q.off[0, c]), int(q.clen[0, c])
+            out.append((
+                q.lines[0, off:off + n].tolist(), bool(q.cwrite[0, c]),
+                int(q.cops[0, c]), int(q.csid[0, c]), bool(q.cser[0, c]),
+                float(q.cextra[0, c]).hex(), bool(q.cpf[0, c]),
+            ))
+    return out
+
+
+class MixedApp(TwoPhaseApp):
+    """TwoPhaseApp plus a distribution phase and a stream phase whose
+    last chunk is short."""
+
+    def iteration_phases(self):
+        return list(super().iteration_phases()) + [
+            RandomPhase("table", n_accesses=300, ops_per_access=7,
+                        distribution=ExponentialDist(8)),
+            StreamPhase("stream", passes=0.5, ops_per_access=2, is_write=True),
+        ]
+
+
+def paper_env(n_ranks):
+    cluster = xeon20mb_cluster(n_nodes=32)
+    env = CommEnv(
+        comm_model=CommModel.for_network(cluster.network),
+        noise=NoiseModel(),  # sigma > 0: the jitter draws from the rank's RNG
+        n_ranks=n_ranks,
+    )
+    return cluster, env
+
+
+def mcb_rank():
+    cluster, env = paper_env(24)
+    return MCBProxy(
+        n_particles=90_000, n_ranks=24, rank=1, n_iterations=2,
+        mapping=ProcessMapping(cluster, 24, 4), comm_env=env,
+    )
+
+
+def lulesh_rank():
+    cluster, env = paper_env(64)
+    return LuleshProxy(
+        edge=26, n_ranks=64, rank=3, n_iterations=2,
+        mapping=ProcessMapping(cluster, 64, 2), comm_env=env,
+    )
+
+
+def spmv_rank():
+    cluster, env = paper_env(16)
+    return SpMVProxy(
+        rows=40_000, n_ranks=16, n_iterations=2,
+        mapping=ProcessMapping(cluster, 16, 2), comm_env=env,
+    )
+
+
+def two_phase_rank():
+    _, env = paper_env(8)
+    return MixedApp(comm=env, remote_bytes=20 * KiB, local_bytes=6 * KiB,
+                    n_iterations=3)
+
+
+STREAM_CASES = {
+    "mcb": mcb_rank,
+    "lulesh": lulesh_rank,
+    "spmv": spmv_rank,
+    "two-phase": two_phase_rank,
+    "chase-finite": lambda: PointerChase(24 * KiB, n_accesses=5_000, quantum=96),
+    "chase-exact": lambda: PointerChase(24 * KiB, n_accesses=2_400, quantum=96),
+}
+
+
+def started_pair(make, seed=11):
+    socket = xeon20mb_cluster(n_nodes=32).node.socket
+    pair = []
+    for _ in range(2):
+        thread = make()
+        thread.start(ThreadContext(
+            socket=socket, addrspace=AddressSpace(line_bytes=socket.line_bytes),
+            rng=np.random.default_rng(seed), core_id=0,
+        ))
+        pair.append(thread)
+    return pair
+
+
+class TestFillBlock:
+    @pytest.mark.parametrize("name", sorted(STREAM_CASES))
+    def test_block_stream_equals_generator_stream(self, name, monkeypatch):
+        """Small blocks make phases straddle block boundaries; the staged
+        stream and the RNG state after it match the generator's."""
+        monkeypatch.setattr(scheduler_mod, "BLOCK_CHUNKS", 8)
+        gen, blk = started_pair(STREAM_CASES[name])
+        expected = generator_stream(gen)
+        assert block_stream(blk) == expected
+        assert len(expected) > 2 * scheduler_mod.BLOCK_CHUNKS
+        if isinstance(gen, RankApp):
+            assert gen._ctx.rng.random() == blk._ctx.rng.random()
+
+    def test_comm_chunks_present(self):
+        """The two-phase case exercises both staging kinds and wire time."""
+        stream = block_stream(started_pair(two_phase_rank)[0])
+        sids = {c[3] for c in stream}
+        assert {REMOTE_STAGING_ID, LOCAL_STAGING_ID} <= sids
+        assert sum(float.fromhex(c[5]) > 0 for c in stream) == 3  # one per iteration
+
+    def test_pure_wire_touch(self):
+        """With no staging buffer the wire time rides on a one-line touch
+        of the first buffer, on both paths."""
+        gen, blk = started_pair(
+            lambda: TwoPhaseApp(comm=paper_env(8)[1], remote_bytes=4 * KiB)
+        )
+        for app in (gen, blk):
+            app._remote_staging = []
+        expected = generator_stream(gen)
+        assert block_stream(blk) == expected
+        touches = [c for c in expected if float.fromhex(c[5]) > 0]
+        assert len(touches) == 2 and all(len(c[0]) == 1 for c in touches)
+
+    def test_infinite_chase(self, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "BLOCK_CHUNKS", 8)
+        gen, blk = started_pair(lambda: PointerChase(24 * KiB, quantum=100))
+        expected = generator_stream(gen, max_chunks=50)
+        assert block_stream(blk, max_chunks=50)[:50] == expected
+
+    def test_block_memory_bounded(self):
+        """One call stages at most about the writer's free lines."""
+        app = started_pair(mcb_rank)[0]
+        q = BlockQueues(1, chunk_cap=64, line_cap=4 * app.quantum)
+        w = QueueWriter(q, 0)
+        for _ in range(20):
+            w.begin()
+            app.fill_block(w)
+            assert 0 < q.used_lines[0] <= 4 * app.quantum
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("make", [TwoPhaseApp, lambda: PointerChase(4 * KiB)])
+    def test_chunks_and_fill_block_need_start(self, make):
+        thread = make()
+        with pytest.raises(SimulationError, match="start"):
+            next(thread.chunks())
+        w = QueueWriter(BlockQueues(1), 0)
+        with pytest.raises(SimulationError, match="start"):
+            thread.fill_block(w)
+
+
+_DIGEST = """
+import hashlib, numpy as np
+from repro.apps import LuleshProxy, MCBProxy
+from repro.config import xeon20mb
+from repro.engine import ThreadContext
+from repro.mem import AddressSpace
+h = hashlib.sha256()
+for app in (MCBProxy(n_particles=20_000), LuleshProxy(edge=22)):
+    s = xeon20mb()
+    app.start(ThreadContext(socket=s, addrspace=AddressSpace(), rng=np.random.default_rng(0), core_id=0))
+    for c in app.chunks():
+        h.update(c.lines.tobytes())
+        h.update(repr((c.is_write, c.ops_per_access, c.stream_id)).encode())
+print(h.hexdigest())
+"""
+
+
+class TestStreamIds:
+    def test_stream_ids_distinct(self):
+        labels = {
+            spec.label
+            for app in (MCBProxy(), LuleshProxy(), SpMVProxy())
+            for spec in app.buffer_specs()
+        }
+        ids = {stream_id_of(label) for label in labels}
+        assert len(ids) == len(labels)
+        assert not ids & {0, REMOTE_STAGING_ID, LOCAL_STAGING_ID}
+
+    def test_chunk_stream_independent_of_hash_seed(self):
+        """String hashing is randomised per process; the chunk stream
+        (stream ids included) must not depend on it."""
+        digests = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGEST], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1

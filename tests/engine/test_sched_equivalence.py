@@ -17,8 +17,9 @@ hot/cold probe and bubble) through warmup + measure windows, covers the
 macro-stepping edge cases — budget exhaustion mid-block, generator
 exhaustion mid-block, window reopen, runaway guards and the roster
 tie-break invariant — and finishes with a generated test over random
-rosters, seeds, quanta and budgets. Without a C compiler only the
-reference legs run.
+rosters (those workloads plus the pointer chase, a small comm-enabled
+rank and tiny MCB and Lulesh ranks), seeds, quanta and budgets.
+Without a C compiler only the reference legs run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.config import tiny_socket, xeon20mb
+from repro.apps import (
+    BufferSpec,
+    CommEnv,
+    LuleshProxy,
+    MCBProxy,
+    RandomPhase,
+    RankApp,
+    StreamPhase,
+)
+from repro.cluster import CommModel, Distance, NoiseModel, ProcessMapping
+from repro.config import tiny_socket, xeon20mb, xeon20mb_cluster
 from repro.engine import (
     AccessChunk,
     ArraySocket,
@@ -50,7 +61,7 @@ from repro.workloads import (
     PointerChase,
     StreamTriad,
 )
-from repro.workloads.distributions import UniformDist
+from repro.workloads.distributions import ExponentialDist, UniformDist
 from repro.workloads.synthetic import ProbabilisticBenchmark
 
 INT_COUNTERS = (
@@ -343,9 +354,71 @@ class TestRosterTieBreak:
 # Generated rosters: compiled == reference
 # ---------------------------------------------------------------------------
 
+class SmallRank(RankApp):
+    """A comm-enabled rank with every kind of segment: a stream phase
+    whose last chunk is short, uniform and distribution random phases,
+    and remote plus local staging sweeps."""
+
+    def buffer_specs(self):
+        return [
+            BufferSpec("grid", 12 * 1024, elem_bytes=8),
+            BufferSpec("table", 4 * 1024, elem_bytes=4),
+        ]
+
+    def iteration_phases(self):
+        return [
+            StreamPhase("grid", passes=1.5, ops_per_access=3),
+            RandomPhase("table", n_accesses=300, ops_per_access=5, is_write=True),
+            RandomPhase("table", n_accesses=200, ops_per_access=2,
+                        distribution=ExponentialDist(8)),
+            StreamPhase("table", passes=1.0, ops_per_access=1, is_write=True),
+        ]
+
+    def comm_bytes_by_distance(self):
+        return {Distance.SOCKET: 3 * 1024, Distance.REMOTE: 5 * 1024}
+
+
+class TinyMCB(MCBProxy):
+    """MCB's phases over its buffers shrunk 256-fold (the tiny socket is
+    unscaled, so paper-sized buffers would never finish a phase)."""
+
+    def buffer_specs(self):
+        return [
+            BufferSpec(s.label, max(s.paper_bytes // 256, 64), s.elem_bytes)
+            for s in super().buffer_specs()
+        ]
+
+
+_CLUSTER = xeon20mb_cluster(n_nodes=32)
+
+
+def comm_env(n_ranks):
+    return CommEnv(
+        comm_model=CommModel.for_network(_CLUSTER.network),
+        noise=NoiseModel(),  # sigma > 0: each iteration draws a jitter
+        n_ranks=n_ranks,
+    )
+
+
+def with_quantum(thread, q):
+    thread.quantum = q
+    return thread
+
+
 #: Workload factories by roster name, sized for the 16 KiB-L3 tiny socket
 #: so every level of the hierarchy sees traffic.
 WORKLOADS = {
+    "rank": lambda q: with_quantum(
+        SmallRank(n_iterations=3, comm_env=comm_env(8)), q
+    ),
+    "mcb": lambda q: with_quantum(TinyMCB(
+        n_particles=240, n_ranks=24, mapping=ProcessMapping(_CLUSTER, 24, 4),
+        comm_env=comm_env(24),
+    ), q),
+    "lulesh": lambda q: with_quantum(LuleshProxy(
+        edge=4, n_ranks=64, mapping=ProcessMapping(_CLUSTER, 64, 2),
+        comm_env=comm_env(64),
+    ), q),
     "probe": lambda q: ProbabilisticBenchmark(UniformDist(), 64 * 1024, quantum=q),
     "csthr": lambda q: CSThr(buffer_bytes=32 * 1024, quantum=q),
     "bwthr": lambda q: BWThr(buffer_bytes=8 * 1024, n_buffers=3, quantum=q),
