@@ -18,7 +18,7 @@ and records the machine-readable baseline in ``BENCH_engine.json``.
 
 The multicore gate at the bottom covers the production engine path (the
 array kernel with the compiled macro-stepped scheduler): on the
-multicore bench shapes it must sustain at least 3x the reference path
+multicore bench shapes it must sustain at least 8x the reference path
 (the list kernel under the pure-Python macro step) — the headline
 guarantee recorded in ``BENCH_engine.json``'s
 ``speedup_macro_vs_reference``.
@@ -96,8 +96,9 @@ def test_bench_kernel_throughput(benchmark, shape, kernel):
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     rate = N_ACCESSES / benchmark.stats["median"]
     # Regression guard: either kernel must stay above 200k accesses/s
-    # even on slow CI machines (typical: 0.5-1.5M acc/s for the list
-    # kernel, 4-8M acc/s for the compiled array kernel).
+    # even on slow CI machines (typical: 0.3-1.1M acc/s for the list
+    # kernel, 3.5-9M acc/s for the compiled array kernel: prefetched
+    # streams at the low end, CSThr-shaped random writes at the top).
     assert rate > 200_000, f"{kernel} kernel throughput regressed: {rate:.0f} acc/s"
 
 
@@ -121,10 +122,10 @@ def test_bench_owner_tracking_overhead(benchmark):
     assert tracked < plain * 2.5
 
 
-#: The committed guarantee: the compiled path buys at least 3x over the
-#: reference on the multicore bench shapes (the margin absorbs CI
-#: machine noise).
-MIN_MACRO_SPEEDUP = 3.0
+#: The committed guarantee: the compiled path buys at least 8x over the
+#: reference on the multicore bench shapes (measured 18-27x; the margin
+#: absorbs CI machine noise).
+MIN_MACRO_SPEEDUP = 8.0
 
 MC_BUDGET = 40_000
 MC_ROUNDS = 3
@@ -143,7 +144,7 @@ def _mc_rate(shape, make_kernel):
 
 @pytest.mark.parametrize("shape", sorted(MC_SHAPES))
 def test_bench_multicore_macro_speedup(benchmark, shape):
-    """Compiled path >= 3x the reference path on every shape."""
+    """Compiled path >= 8x the reference path on every shape."""
     reference = _mc_rate(shape, FastSocket)
     macro = _mc_rate(shape, ArraySocket)
 

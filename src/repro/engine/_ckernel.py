@@ -2,8 +2,10 @@
 
 The array kernel (:mod:`repro.engine.arraypath`) keeps all simulation
 state in flat, C-contiguous buffers: int64 tag/age arrays per cache
-level, a uint8 dirty bitmap indexed by line address, float64 arrival
-slots for prefetch-staged lines, and small register blocks for the
+level, a uint8 line-state byte per line address (bit 0 dirty, bits 1-7
+the line's L3 way + 1, so an L3 lookup is one load instead of a set
+scan), float64 arrival slots for prefetch-staged lines, and small
+register blocks for the
 bandwidth arbiter and the per-core stride prefetchers. That layout is
 deliberately a stable ABI: this module compiles (at first use, with the
 system C compiler, via stdlib ``ctypes`` — no third-party build
@@ -12,9 +14,10 @@ buffers natively.
 
 Semantics are a line-for-line port of the reference list kernel
 (:class:`repro.engine.fastpath.FastSocket`) with the per-set recency
-lists replaced by monotonic age counters (LRU = min-age victim; empty
-slots carry age 0 and are therefore filled first, in slot order, which
-reproduces the list kernel's append-then-evict order exactly). All
+lists replaced by monotonic age counters (LRU = the first min-age slot,
+picked with conditional moves rather than branches; empty slots carry
+age 0 and are therefore filled first, in slot order, which reproduces
+the list kernel's append-then-evict order exactly). All
 floating-point expressions mirror the Python operand order and the
 library is built with ``-ffp-contract=off``, so chunk finish times and
 arbiter state are bit-identical to the list kernel, not merely close.
@@ -58,7 +61,8 @@ typedef struct {
     i64 *tags3; i64 *ages3;      /* shared, n3sets*w3 entries */
     i64 *owner3;                 /* NULL when owner tracking is off */
     double *arrival3;            /* per L3 slot; < 0 means none pending */
-    u8  *dirty;                  /* by line address */
+    u8  *lstate;                 /* by line address: bit 0 dirty, bits 1-7
+                                    L3 way + 1 (0 = not in L3) */
     /* scalar registers: [0]=agec3 [1]=n_pending [2+2c]=agec1 [3+2c]=agec2 */
     i64 *iregs;
     /* arbiter: [0]=hwm [1]=window_start [2]=rho [3]=rho_smooth
@@ -76,7 +80,7 @@ typedef struct {
     i64 l1_mask; i64 l2_mask; i64 l3_mask;
     i64 w1; i64 w2; i64 w3;
     i64 blk1; i64 blk2;
-    i64 dirty_cap;
+    i64 lstate_cap;
     /* timing */
     double l1_ns; double l2_ns; double l3_ns; double pf_ns;
     double service_ns;
@@ -187,6 +191,51 @@ static i64 pf_observe(KS *k, i64 core, i64 a, i64 sid, i64 *stride_out)
     return 0;
 }
 
+/* LRU victim of the set at b: the first min-age slot. The conditional
+ * moves keep the scan free of data-dependent branches (random ages
+ * mispredict a compare-and-branch); strict < keeps the first slot on
+ * ties, so empty slots (age 0) still fill in slot order. */
+static inline i64 lru_victim(const i64 *ages, i64 b, i64 w)
+{
+    i64 vs = b, va = ages[b];
+    for (i64 j = 1; j < w; j++) {
+        i64 x = ages[b + j];
+        int lt = x < va;
+        va = lt ? x : va;
+        vs = lt ? b + j : vs;
+    }
+    return vs;
+}
+
+/* L3 way of line a, or -1: O(1) through the line-state byte when a is
+ * inside the table, a set scan otherwise (out-of-range prefetch
+ * candidates only). */
+static inline i64 l3_way(const i64 *tags3, const u8 *ls, i64 cap,
+                         i64 a, i64 b3, i64 w3)
+{
+    if (a >= 0 && a < cap) return (i64)(ls[a] >> 1) - 1;
+    for (i64 j = 0; j < w3; j++)
+        if (tags3[b3 + j] == a) return j;
+    return -1;
+}
+
+/* Evict the L3 slot vs to make room: pop its pending arrival, write it
+ * back if dirty, and clear its line-state byte. */
+static inline void l3_evict(KS *k, i64 vs, u8 *ls, i64 cap, double t,
+                            i64 *nwb)
+{
+    i64 v = k->tags3[vs];
+    if (v == EMPTY_TAG) return;
+    if (k->arrival3[vs] >= 0.0) { k->arrival3[vs] = -1.0; k->iregs[1] -= 1; }
+    if (v >= 0 && v < cap) {
+        if (ls[v] & 1) {
+            arb_wb(k, t);
+            *nwb += 1;
+        }
+        ls[v] = 0;
+    }
+}
+
 double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                  i64 is_write, i64 pf_on, i64 sid,
                  double ops_ns, double dram_ns, double t, i64 *out)
@@ -197,8 +246,8 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
     i64 *ages2 = k->ages2 + core * k->blk2;
     i64 *tags3 = k->tags3, *ages3 = k->ages3, *owner3 = k->owner3;
     double *arr3 = k->arrival3;
-    u8 *dirty = k->dirty;
-    i64 cap = k->dirty_cap;
+    u8 *ls = k->lstate;
+    i64 cap = k->lstate_cap;
     i64 m1 = k->l1_mask, m2 = k->l2_mask, m3 = k->l3_mask;
     i64 w1 = k->w1, w2 = k->w2, w3 = k->w3;
     double l1_ns = k->l1_ns, l2_ns = k->l2_ns, l3_ns = k->l3_ns;
@@ -210,6 +259,9 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
     i64 n1 = 0, n2 = 0, n3 = 0, npf = 0, nmiss = 0, npfill = 0, nwb = 0;
     int w = (int)is_write;
 
+    /* Demand lines are always inside the line-state table (the Python
+     * side grows it before each chunk or block), so their L3 way is one
+     * byte load away. */
     for (i64 i = 0; i < n; i++) {
         i64 a = lines[i];
         t += ops_ns;
@@ -221,7 +273,7 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
             t += l1_ns;
             n1 += 1;
             ages1[b1 + h1] = ++(*agec1);
-            if (w) dirty[a] = 1;
+            if (w) ls[a] |= 1;
             /* hit-streak fast path: a run of accesses to the same line
              * stays an L1 MRU hit with no state change; charge the run
              * with the same per-access float adds, skipping the probes. */
@@ -240,31 +292,25 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
         if (h2 >= 0) {
             t += l2_ns;
             n2 += 1;
-            if (*npend > 0) {
+            i64 h3 = (i64)(ls[a] >> 1) - 1;
+            if (*npend > 0 && h3 >= 0) {
                 /* A pending staged line is always still L3-resident
-                 * (eviction pops its arrival), so probing L3 here is
-                 * exactly the dict pop of the list kernel. */
-                i64 b3 = (a & m3) * w3;
-                for (i64 j = 0; j < w3; j++) {
-                    if (tags3[b3 + j] == a) {
-                        double arr = arr3[b3 + j];
-                        if (arr >= 0.0) {
-                            arr3[b3 + j] = -1.0;
-                            *npend -= 1;
-                            npf += 1;
-                            n2 -= 1;
-                            if (arr > t) t = arr;
-                        }
-                        break;
-                    }
+                 * (eviction pops its arrival), so the L3 slot holds
+                 * exactly the dict entry of the list kernel. */
+                i64 s3 = (a & m3) * w3 + h3;
+                double arr = arr3[s3];
+                if (arr >= 0.0) {
+                    arr3[s3] = -1.0;
+                    *npend -= 1;
+                    npf += 1;
+                    n2 -= 1;
+                    if (arr > t) t = arr;
                 }
             }
             ages2[b2 + h2] = ++(*agec2);
         } else {
             i64 b3 = (a & m3) * w3;
-            i64 h3 = -1;
-            for (i64 j = 0; j < w3; j++)
-                if (tags3[b3 + j] == a) { h3 = j; break; }
+            i64 h3 = (i64)(ls[a] >> 1) - 1;
             if (h3 >= 0) {
                 double arr = (*npend > 0) ? arr3[b3 + h3] : -1.0;
                 if (arr >= 0.0) {
@@ -283,24 +329,13 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                 /* demand miss: stall for DRAM + link queueing */
                 nmiss += 1;
                 t += dram_ns + arb_fill(k, t, 1);
-                i64 vs = b3;
-                i64 va = ages3[b3];
-                for (i64 j = 1; j < w3; j++)
-                    if (ages3[b3 + j] < va) { va = ages3[b3 + j]; vs = b3 + j; }
-                i64 victim = tags3[vs];
-                if (victim != EMPTY_TAG) {
-                    if (arr3[vs] >= 0.0) { arr3[vs] = -1.0; *npend -= 1; }
-                    if (victim >= 0 && victim < cap && dirty[victim]) {
-                        dirty[victim] = 0;
-                        arb_wb(k, t);
-                        nwb += 1;
-                    }
-                }
+                i64 vs = lru_victim(ages3, b3, w3);
+                l3_evict(k, vs, ls, cap, t, &nwb);
                 tags3[vs] = a;
                 ages3[vs] = ++(*agec3);
                 arr3[vs] = -1.0;
                 if (owner3) owner3[vs] = core;
-                if (!w) dirty[a] = 0;
+                ls[a] = (u8)(((vs - b3 + 1) << 1) | (w ? (ls[a] & 1) : 0));
             }
             if (pf_on) {
                 i64 stride = 0;
@@ -309,41 +344,26 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                 for (i64 q = 1; q <= cnt; q++) {
                     i64 p = a + stride * q;
                     i64 bp = (p & m3) * w3;
-                    i64 hp = -1;
-                    for (i64 j = 0; j < w3; j++)
-                        if (tags3[bp + j] == p) { hp = j; break; }
-                    if (hp < 0) {
+                    if (l3_way(tags3, ls, cap, p, bp, w3) < 0) {
                         double delay = arb_fill(k, t, 0);
                         kf += 1;
                         npfill += 1;
-                        i64 vs = bp;
-                        i64 va = ages3[bp];
-                        for (i64 j = 1; j < w3; j++)
-                            if (ages3[bp + j] < va) { va = ages3[bp + j]; vs = bp + j; }
-                        i64 v = tags3[vs];
-                        if (v != EMPTY_TAG) {
-                            if (arr3[vs] >= 0.0) { arr3[vs] = -1.0; *npend -= 1; }
-                            if (v >= 0 && v < cap && dirty[v]) {
-                                dirty[v] = 0;
-                                arb_wb(k, t);
-                                nwb += 1;
-                            }
-                        }
+                        i64 vs = lru_victim(ages3, bp, w3);
+                        l3_evict(k, vs, ls, cap, t, &nwb);
                         tags3[vs] = p;
                         ages3[vs] = ++(*agec3);
                         arr3[vs] = t + dram_ns + delay + (double)kf * service_ns;
                         *npend += 1;
                         if (owner3) owner3[vs] = core;
+                        if (p >= 0 && p < cap)
+                            ls[p] = (u8)((ls[p] & 1) | ((vs - bp + 1) << 1));
                     }
                     i64 bp2 = (p & m2) * w2;
                     i64 hq = -1;
                     for (i64 j = 0; j < w2; j++)
                         if (tags2[bp2 + j] == p) { hq = j; break; }
                     if (hq < 0) {
-                        i64 vs = bp2;
-                        i64 va = ages2[bp2];
-                        for (i64 j = 1; j < w2; j++)
-                            if (ages2[bp2 + j] < va) { va = ages2[bp2 + j]; vs = bp2 + j; }
+                        i64 vs = lru_victim(ages2, bp2, w2);
                         tags2[vs] = p;
                         ages2[vs] = ++(*agec2);
                     }
@@ -351,24 +371,18 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
             }
             /* fill L2 (silent private eviction) */
             {
-                i64 vs = b2;
-                i64 va = ages2[b2];
-                for (i64 j = 1; j < w2; j++)
-                    if (ages2[b2 + j] < va) { va = ages2[b2 + j]; vs = b2 + j; }
+                i64 vs = lru_victim(ages2, b2, w2);
                 tags2[vs] = a;
                 ages2[vs] = ++(*agec2);
             }
         }
         /* fill L1 */
         {
-            i64 vs = b1;
-            i64 va = ages1[b1];
-            for (i64 j = 1; j < w1; j++)
-                if (ages1[b1 + j] < va) { va = ages1[b1 + j]; vs = b1 + j; }
+            i64 vs = lru_victim(ages1, b1, w1);
             tags1[vs] = a;
             ages1[vs] = ++(*agec1);
         }
-        if (w) dirty[a] = 1;
+        if (w) ls[a] |= 1;
         /* hit-streak after a fill: the line is now L1-MRU */
         while (i + 1 < n && lines[i + 1] == a) {
             i += 1;
@@ -507,10 +521,7 @@ i64 lru_sampled(i64 *tags, i64 *ages, i64 *agec, i64 ways,
             hits += 1;
             ages[b + h] = ++(*agec);
         } else {
-            i64 vs = b;
-            i64 va = ages[b];
-            for (i64 j = 1; j < ways; j++)
-                if (ages[b + j] < va) { va = ages[b + j]; vs = b + j; }
+            i64 vs = lru_victim(ages, b, ways);
             tags[vs] = a;
             ages[vs] = ++(*agec);
         }
@@ -529,7 +540,7 @@ class KStruct(ctypes.Structure):
         ("tags3", ctypes.c_void_p), ("ages3", ctypes.c_void_p),
         ("owner3", ctypes.c_void_p),
         ("arrival3", ctypes.c_void_p),
-        ("dirty", ctypes.c_void_p),
+        ("lstate", ctypes.c_void_p),
         ("iregs", ctypes.c_void_p),
         ("aregs", ctypes.c_void_p),
         ("airegs", ctypes.c_void_p),
@@ -540,7 +551,7 @@ class KStruct(ctypes.Structure):
         ("l1_mask", i64), ("l2_mask", i64), ("l3_mask", i64),
         ("w1", i64), ("w2", i64), ("w3", i64),
         ("blk1", i64), ("blk2", i64),
-        ("dirty_cap", i64),
+        ("lstate_cap", i64),
         ("l1_ns", ctypes.c_double), ("l2_ns", ctypes.c_double),
         ("l3_ns", ctypes.c_double), ("pf_ns", ctypes.c_double),
         ("service_ns", ctypes.c_double),

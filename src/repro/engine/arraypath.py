@@ -7,11 +7,17 @@ C-contiguous buffers:
 
 - per-level **tag arrays** (``int64``, one slot per cache way, sets laid
   out consecutively) plus **monotonic age counters**: LRU victim = the
-  min-age slot of the set, scanned left to right. Empty slots carry age 0
-  and are therefore filled first, in slot order, which reproduces the
-  list kernel's append-then-evict recency order exactly (cross-validated
-  bit-for-bit by ``tests/engine/test_kernel_equivalence.py``);
-- a **dirty bitmap** (``uint8``) indexed by line address, grown on demand;
+  first min-age slot of the set (a branch-free scan with strict ``<``).
+  Empty slots carry age 0 and are therefore filled first, in slot order,
+  which reproduces the list kernel's append-then-evict recency order
+  exactly (cross-validated bit-for-bit by
+  ``tests/engine/test_kernel_equivalence.py``);
+- a **line-state byte** (``uint8``) per line address, grown on demand:
+  bit 0 is the dirty bit and bits 1-7 hold the line's L3 way + 1 (0 = not
+  in L3), so the compiled loop finds an L3 line without scanning its set.
+  Prefetch candidates outside the table (negative, or past its end) are
+  the only L3 lookups that still scan; growing the table marks those
+  already resident. Seven bits cap the L3 at :data:`MAX_L3_WAYS` ways;
 - **arrival slots** (``float64``, one per L3 way) replacing the staged-
   line dict: a line with a pending link transfer is always still
   L3-resident (staging inserts it; consumption or eviction pops it), so
@@ -56,8 +62,11 @@ from .fastpath import FastSocket
 
 EMPTY_TAG = _ckernel.EMPTY_TAG
 
-#: Initial dirty-bitmap capacity (line addresses); doubled on demand.
-_DIRTY_CAP0 = 1 << 16
+#: Initial line-state table capacity (line addresses); doubled on demand.
+_LSTATE_CAP0 = 1 << 16
+
+#: Most L3 ways the line-state byte can name (bits 1-7 hold way + 1).
+MAX_L3_WAYS = 127
 
 # aregs slots (float64)
 _A_HWM, _A_WSTART, _A_RHO, _A_RHO_S, _A_DELAY, _A_KNEE, _A_BUSY = range(7)
@@ -198,6 +207,11 @@ class ArraySocket:
         s1, w1 = socket.l1.n_sets, socket.l1.ways
         s2, w2 = socket.l2.n_sets, socket.l2.ways
         s3, w3 = socket.l3.n_sets, socket.l3.ways
+        if w3 > MAX_L3_WAYS:
+            raise ConfigError(
+                f"the array kernel supports at most {MAX_L3_WAYS} L3 ways "
+                f"(got {w3}); use REPRO_KERNEL=lists"
+            )
         ns = socket.prefetch.n_streams
         self._l1_mask, self._l2_mask, self._l3_mask = s1 - 1, s2 - 1, s3 - 1
         self._w1, self._w2, self._w3 = w1, w2, w3
@@ -213,8 +227,10 @@ class ArraySocket:
             np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None
         )
         self._arrival3 = np.full(s3 * w3, -1.0, dtype=np.float64)
-        self._dirty = np.zeros(_DIRTY_CAP0, dtype=np.uint8)
-        self._dirty_cap = _DIRTY_CAP0
+        # Per line address: bit 0 dirty, bits 1-7 the line's L3 way + 1
+        # (0 = not in L3), kept in step with _tags3 by the C loop.
+        self._lstate = np.zeros(_LSTATE_CAP0, dtype=np.uint8)
+        self._lstate_cap = _LSTATE_CAP0
 
         # [0]=L3 age counter, [1]=pending staged-line count,
         # [2+2c]/[3+2c]=core c's L1/L2 age counters.
@@ -262,7 +278,7 @@ class ArraySocket:
         ks.ages3 = self._ages3.ctypes.data
         ks.owner3 = self._owner3.ctypes.data if self._owner3 is not None else None
         ks.arrival3 = self._arrival3.ctypes.data
-        ks.dirty = self._dirty.ctypes.data
+        ks.lstate = self._lstate.ctypes.data
         ks.iregs = self._iregs.ctypes.data
         ks.aregs = self._aregs.ctypes.data
         ks.airegs = self._airegs.ctypes.data
@@ -277,7 +293,7 @@ class ArraySocket:
         ks.l1_mask, ks.l2_mask, ks.l3_mask = self._l1_mask, self._l2_mask, self._l3_mask
         ks.w1, ks.w2, ks.w3 = self._w1, self._w2, self._w3
         ks.blk1, ks.blk2 = self._blk1, self._blk2
-        ks.dirty_cap = self._dirty_cap
+        ks.lstate_cap = self._lstate_cap
         ks.l1_ns, ks.l2_ns, ks.l3_ns = self._l1_ns, self._l2_ns, self._l3_ns
         ks.pf_ns = self._pf_ns
         ks.service_ns = self.arbiter.service_ns
@@ -293,25 +309,31 @@ class ArraySocket:
         ks.pf_nstreams = s.prefetch.n_streams
         return ks
 
-    def _grow_dirty(self, max_line: int) -> None:
-        new_cap = self._dirty_cap
+    def _grow_line_state(self, max_line: int) -> None:
+        old_cap = new_cap = self._lstate_cap
         while new_cap <= max_line:
             new_cap *= 2
         grown = np.zeros(new_cap, dtype=np.uint8)
-        grown[: self._dirty_cap] = self._dirty
-        self._dirty = grown
-        self._dirty_cap = new_cap
-        self._ks.dirty = self._dirty.ctypes.data
-        self._ks.dirty_cap = new_cap
+        grown[:old_cap] = self._lstate
+        # Prefetches may have staged lines beyond the old table; those
+        # now inside it need their L3 way marked (they are not dirty).
+        tags = self._tags3
+        slots = np.flatnonzero((tags >= old_cap) & (tags < new_cap))
+        grown[tags[slots]] = ((slots % self._w3 + 1) << 1).astype(np.uint8)
+        self._lstate = grown
+        self._lstate_cap = new_cap
+        self._ks.lstate = self._lstate.ctypes.data
+        self._ks.lstate_cap = new_cap
 
     def ensure_line_capacity(self, lines: np.ndarray) -> None:
-        """Validate a batch of line addresses and pre-grow the dirty
-        bitmap to cover them.
+        """Validate a batch of line addresses and pre-grow the line-state
+        table to cover them.
 
         The macro-stepped scheduler calls this once per refilled block:
-        the compiled loops index ``dirty`` unguarded, so the capacity
-        check that :meth:`run_chunk` performs per chunk must happen
-        before a whole block is handed to ``sched_step``.
+        the compiled loops index the line state of demand lines
+        unguarded, so the capacity check that :meth:`run_chunk` performs
+        per chunk must happen before a whole block is handed to
+        ``sched_step``.
         """
         if lines.size == 0:
             return
@@ -320,8 +342,8 @@ class ArraySocket:
                 "array kernel: negative line addresses are not supported"
             )
         max_line = int(lines.max())
-        if max_line >= self._dirty_cap:
-            self._grow_dirty(max_line)
+        if max_line >= self._lstate_cap:
+            self._grow_line_state(max_line)
 
     # -- hot loop ------------------------------------------------------------
 
@@ -338,12 +360,12 @@ class ArraySocket:
         n = int(lines.size)
         if n:
             max_line = int(lines.max())
-            if max_line >= self._dirty_cap:
+            if max_line >= self._lstate_cap:
                 if int(lines.min()) < 0:
                     raise ValueError(
                         "array kernel: negative line addresses are not supported"
                     )
-                self._grow_dirty(max_line)
+                self._grow_line_state(max_line)
             elif int(lines.min()) < 0:
                 raise ValueError(
                     "array kernel: negative line addresses are not supported"
@@ -416,7 +438,7 @@ class ArraySocket:
         if self._owner3 is not None:
             self._owner3.fill(-1)
         self._arrival3.fill(-1.0)
-        self._dirty.fill(0)
+        self._lstate.fill(0)
         self._iregs.fill(0)
         self._pf_count.fill(0)
         self._pf_issued.fill(0)

@@ -541,7 +541,10 @@ class TestAcceptance:
         cheaper than the cold serial wall-clock. (The replay bound was
         10% against the list kernel's cold time; the array kernel made
         the cold baseline ~7x smaller, so the replay's fixed process-pool
-        startup now needs a proportionally looser ratio.)"""
+        startup now needs a proportionally looser ratio.) The cold sweep
+        is only ~60 ms, while a single warm replay takes 1-15 ms
+        depending on scheduler noise, so the replay is timed as the best
+        of three fresh runners on the same cache."""
         ks = [0, 1, 2, 3, 4, 5]
 
         serial = make_am(xeon)
@@ -559,17 +562,19 @@ class TestAcceptance:
             point_fields(p) for p in base.points
         ]
 
-        warm = make_am(
-            xeon,
-            runner=PointRunner(backend="process", max_workers=4, cache=cache),
-        )
-        t0 = time.perf_counter()
-        replay = warm.capacity_sweep(ks)
-        warm_s = time.perf_counter() - t0
-        assert warm.runner.last_telemetry.cache_hits == len(ks)
-        assert [point_fields(p) for p in replay.points] == [
-            point_fields(p) for p in base.points
-        ]
+        warm_s = float("inf")
+        for _ in range(3):
+            warm = make_am(
+                xeon,
+                runner=PointRunner(backend="process", max_workers=4, cache=cache),
+            )
+            t0 = time.perf_counter()
+            replay = warm.capacity_sweep(ks)
+            warm_s = min(warm_s, time.perf_counter() - t0)
+            assert warm.runner.last_telemetry.cache_hits == len(ks)
+            assert [point_fields(p) for p in replay.points] == [
+                point_fields(p) for p in base.points
+            ]
         assert warm_s < 0.40 * cold_serial_s
 
 

@@ -17,8 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import PrefetchConfig, tiny_socket, xeon20mb
+from repro.config import CacheGeometry, PrefetchConfig, tiny_socket, xeon20mb
 from repro.engine import AccessChunk, ArraySocket, FastSocket, make_socket_kernel
 from repro.engine import _ckernel, arraypath
 from repro.engine.arraypath import resolve_kernel_name
@@ -239,6 +240,153 @@ def test_c_backend_matches_python_backend():
     ]
     py, c = pair(socket)
     assert_equivalent(py, c, drive(py, chunks), drive(c, chunks))
+
+
+# ---------------------------------------------------------------------------
+# Line-state byte: the O(1) L3 way index must track _tags3 exactly
+# ---------------------------------------------------------------------------
+
+CAP0 = arraypath._LSTATE_CAP0
+
+
+def assert_line_state_consistent(arr):
+    """Every in-table L3 resident has its way in the line-state byte, and
+    every way recorded there names a slot holding that line."""
+    tags, w3, ls = arr._tags3, arr._w3, arr._lstate
+    cap = arr._lstate_cap
+    slots = np.flatnonzero((tags >= 0) & (tags < cap))
+    assert np.array_equal(ls[tags[slots]] >> 1, slots % w3 + 1)
+    marked = np.flatnonzero(ls >> 1)
+    at = (marked & arr._l3_mask) * w3 + (ls[marked] >> 1).astype(np.int64) - 1
+    assert np.array_equal(tags[at], marked)
+
+
+def stream(lo, n, stride, write=False, sid=1):
+    return AccessChunk(lines=lo + stride * np.arange(n, dtype=np.int64),
+                       is_write=write, ops_per_access=3, stream_id=sid)
+
+
+def drive_checked(fast, arr, chunks, cores=None):
+    """:func:`drive` both kernels chunk by chunk, checking the array
+    kernel's line state after every chunk; returns both time lists."""
+    cores = cores or [0] * len(chunks)
+    clocks = [[0.0] * fast.socket.n_cores, [0.0] * arr.socket.n_cores]
+    times = [], []
+    for core, chunk in zip(cores, chunks):
+        for k, kernel in enumerate((fast, arr)):
+            clocks[k][core] = kernel.run_chunk(core, chunk, clocks[k][core])
+            times[k].append(clocks[k][core])
+        assert_line_state_consistent(arr)
+    return times
+
+
+@needs_c
+def test_prefetch_past_table_then_growth_matches():
+    """An ascending stream stages prefetch candidates beyond the table;
+    the chunk that grows the table must find them L3-resident, pending
+    arrivals included, exactly as the list kernel does."""
+    fast, arr = pair(tiny_socket())
+    lead = stream(CAP0 - 64, 64, 1, write=True)   # last candidates > CAP0
+    follow = stream(CAP0, 32, 1)                  # grows the table
+    times = drive_checked(fast, arr, [lead, follow])
+    assert arr._lstate_cap > CAP0
+    assert_equivalent(fast, arr, *times)
+    assert fast.counters[0].prefetch_hits > 0
+
+
+@needs_c
+def test_descending_stream_with_negative_candidates_matches():
+    """A descending stream near line 0 stages negative candidates, which
+    live outside the table and are probed by set scan."""
+    socket = tiny_socket()
+    chunks = [stream(60 * (7 - i) - 1, 60, -1, write=(i % 2 == 1))
+              for i in range(7)]
+    chunks += [stream(0, 50, 1), stream(0, 40, 2, write=True)]
+    fast, arr = pair(socket)
+    assert_equivalent(fast, arr, *drive_checked(fast, arr, chunks))
+    assert ((arr._tags3 < 0) & (arr._tags3 != arraypath.EMPTY_TAG)).any()
+    assert fast.counters[0].prefetch_fills > 0
+
+
+@needs_c
+def test_written_lines_prefetched_back_are_clean():
+    """Eviction clears the dirty bit with the way: written lines that
+    are evicted and then staged again by the prefetcher must not be
+    written back a second time."""
+    socket = tiny_socket()
+    cap = socket.l3.n_sets * socket.l3.ways
+    chunks = [stream(i * 100, 100, 1, write=True) for i in range(4 * cap // 100)]
+    chunks += [stream(i * 100, 100, 1) for i in range(4 * cap // 100)]
+    fast, arr = pair(socket)
+    assert_equivalent(fast, arr, *drive_checked(fast, arr, chunks))
+    assert fast.counters[0].writebacks > 0
+
+
+@needs_c
+def test_flush_caches_then_reuse_matches():
+    """A cold restart clears the line state with the tags; the reused
+    kernel keeps matching the list kernel."""
+    socket = tiny_socket()
+    rng = np.random.default_rng(17)
+    cap = socket.l3.n_sets * socket.l3.ways
+    chunks = [AccessChunk(lines=rng.integers(0, 3 * cap, size=120),
+                          is_write=(i % 3 == 0)) for i in range(12)]
+    fast, arr = pair(socket)
+    before = drive_checked(fast, arr, chunks[:6])
+    fast.flush_caches()
+    arr.flush_caches()
+    assert not arr._lstate.any()
+    after = drive_checked(fast, arr, chunks[6:])
+    assert_equivalent(fast, arr, before[0] + after[0], before[1] + after[1])
+
+
+def _lines(spec):
+    lo, n, stride, descending = spec
+    lines = lo + stride * np.arange(n, dtype=np.int64)
+    return lines[::-1] if descending else lines
+
+
+line_spec = st.tuples(
+    st.one_of(st.integers(0, 40), st.integers(CAP0 - 200, CAP0 + 40)),
+    st.integers(1, 48),                                  # length
+    st.sampled_from([1, 2, 3, 5, 7]),                    # stride
+    st.booleans(),                                       # descending
+)
+chunk_seq = st.lists(
+    st.tuples(st.integers(0, 1), line_spec, st.booleans(), st.booleans(),
+              st.integers(1, 3)),                         # core, lines,
+    min_size=1, max_size=25,                              # write, pf, sid
+)
+
+
+@needs_c
+@given(chunk_seq)
+@settings(max_examples=60, deadline=None)
+def test_line_state_tracks_l3_tags_on_generated_chunks(seq):
+    """After every generated chunk the line-state way bits and _tags3
+    agree in both directions, and the run matches the list kernel."""
+    fast, arr = pair(tiny_socket(n_cores=2))
+    chunks = [AccessChunk(lines=_lines(spec), is_write=write,
+                          prefetchable=pf, stream_id=sid)
+              for _, spec, write, pf, sid in seq]
+    times = drive_checked(fast, arr, chunks, [core for core, *_ in seq])
+    assert_equivalent(fast, arr, *times, n_cores=2)
+
+
+@needs_c
+def test_l3_way_limit_of_the_line_state_byte():
+    """127 ways fit the byte's seven way bits and match the list kernel;
+    128 are rejected."""
+    base = tiny_socket()
+    wide = replace(base, l3=CacheGeometry(127 * 64, 64, 127, name="L3"))
+    rng = np.random.default_rng(9)
+    chunks = [AccessChunk(lines=rng.integers(0, 400, size=150),
+                          is_write=(i % 2 == 0)) for i in range(10)]
+    fast, arr = pair(wide)
+    assert_equivalent(fast, arr, *drive_checked(fast, arr, chunks))
+    too_wide = replace(base, l3=CacheGeometry(2 * 128 * 64, 64, 128, name="L3"))
+    with pytest.raises(ConfigError, match="127 L3 ways"):
+        ArraySocket(too_wide)
 
 
 # ---------------------------------------------------------------------------
